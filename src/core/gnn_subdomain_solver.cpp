@@ -151,10 +151,11 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
     }
   });
   if (timing && precompute) {
-    // CPU seconds across the parallel precompute — can exceed the phase's
-    // wall time, which is exactly the signal (edge-cache build parallelism).
+    // CPU seconds summed across the parallel precompute — can exceed the
+    // phase's wall time, which is exactly the signal (edge-cache build
+    // parallelism).
     static obs::Gauge& g =
-        obs::Registry::instance().gauge("setup.dss_edge_cache_seconds");
+        obs::Registry::instance().gauge("setup.dss_edge_cache_cpu_seconds");
     if (obs::metrics_enabled()) g.add(edge_cache_seconds.load());
     setup_span.arg("edge_cache_cpu_seconds", edge_cache_seconds.load());
   }
@@ -233,8 +234,9 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       // envelope sweeps, 2 flops per stored entry each (the factorization is
       // one-time setup cost, not counted). GNN: (passes+1) inferences, each
       // k̄ message-passing iterations of two n×d×hidden edge-endpoint
-      // projections, the ne×hidden×d edge-MLP layer-2 GEMM, and the ~3
-      // d×d-shaped node-update GEMMs.
+      // projections, the per-edge gather-add of hidden-width activations,
+      // one hidden×d layer-2 product per node (aggregate_edge_mlp), and the
+      // ~3 d×d-shaped node-update GEMMs.
       chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
       const double exact_flops =
           4.0 * static_cast<double>(chol->envelope_size());
@@ -244,7 +246,7 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
       const double h = static_cast<double>(mc.hidden);
       const double per_inference =
           static_cast<double>(mc.iterations) *
-          (4.0 * nd * d * h + 2.0 * ne * h * d + 6.0 * nd * d * d);
+          (4.0 * nd * d * h + ne * h + 2.0 * nd * h * d + 6.0 * nd * d * d);
       const double gnn_flops = (needed + 1) * per_inference;
       use_fallback =
           gnn_flops > options_.fallback_cost_margin * exact_flops;
@@ -284,29 +286,24 @@ GnnSubdomainSolver::make_workspace() const {
 }
 
 std::size_t GnnSubdomainSolver::workspace_bytes() const {
-  // Coarse steady-state estimate of one caller's warmed-up lanes: the DSS
-  // forward buffers are dominated by per-edge hidden activations and
-  // per-node latent/projection tensors; every lane ends up sized to the
-  // largest shard (≈ the merged node budget) it has processed.
-  long max_nodes = 0, max_edges = 0, total_nodes = 0;
-  for (const auto& t : topologies_) {
-    max_nodes = std::max<long>(max_nodes, t->n);
-    max_edges = std::max<long>(max_edges, t->num_edges());
-    total_nodes += t->n;
-  }
-  if (total_nodes == 0) return 0;
-  const double edges_per_node =
-      max_nodes > 0 ? static_cast<double>(max_edges) / max_nodes : 0.0;
+  // Coarse steady-state estimate of one caller's warmed-up lanes on the fast
+  // path: every lane ends up sized to the largest shard (≈ the merged node
+  // budget) it has processed. The forward buffers are all per-node — latent
+  // ping-pong, update input/output and aggregated messages (5 × latent +
+  // update input), projections, activation sums and MLP hidden scratch
+  // (4 × hidden), the decode — because setup always hands the forward an
+  // edge cache, so no per-edge tensor is allocated. The lane's rhs and
+  // correction vectors add two doubles per node.
+  long max_nodes = 0;
+  for (const auto& t : topologies_) max_nodes = std::max<long>(max_nodes, t->n);
+  if (max_nodes == 0) return 0;
   const long shard_nodes = std::max<long>(max_nodes, kShardNodeBudget);
-  const long shard_edges = static_cast<long>(edges_per_node * shard_nodes);
   const auto& cfg = model_->config();
   const std::size_t per_lane =
       static_cast<std::size_t>(shard_nodes) *
-          (4 * cfg.latent + 2 * cfg.hidden + cfg.update_input_dim() + 2) *
-          sizeof(float) +
-      static_cast<std::size_t>(shard_edges) *
-          (2 * cfg.hidden + cfg.latent) * sizeof(float) +
-      static_cast<std::size_t>(shard_nodes) * 2 * sizeof(double);
+      ((5 * cfg.latent + 4 * cfg.hidden + cfg.update_input_dim() + 1) *
+           sizeof(float) +
+       2 * sizeof(double));
   return per_lane * static_cast<std::size_t>(std::max(1, num_threads()));
 }
 

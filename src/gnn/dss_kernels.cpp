@@ -1,6 +1,5 @@
 #include "gnn/dss_kernels.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,27 +13,22 @@ namespace ddmgnn::gnn {
 namespace {
 constexpr long kEdgeGrain = 2048;  // per-edge kernels: rows per fork threshold
 constexpr long kNodeGrain = 2048;  // per-node kernels
-// fused_layer2_aggregate: edges per register-blocked batch. At the paper's
-// widths (hidden = latent = 10) one batch is ~10 KB of activations+messages —
-// resident in L1 while the layer-2 GEMM consumes it.
-constexpr int kFusedEdgeBlock = 128;
 }  // namespace
 
 void record_phase_profile(const DssPhaseProfile& prof, std::int64_t start_ns,
                           std::int64_t end_ns) {
   if (obs::metrics_enabled()) {
+    // CPU time summed across concurrent forwards: the total can exceed the
+    // wall-time asm.subdomain_solve_seconds that contains them.
     static obs::Gauge& projection =
-        obs::Registry::instance().gauge("dss.projection_seconds");
-    static obs::Gauge& gather =
-        obs::Registry::instance().gauge("dss.gather_seconds");
+        obs::Registry::instance().gauge("dss.projection_cpu_seconds");
     static obs::Gauge& aggregate =
-        obs::Registry::instance().gauge("dss.aggregate_seconds");
+        obs::Registry::instance().gauge("dss.aggregate_cpu_seconds");
     static obs::Gauge& update =
-        obs::Registry::instance().gauge("dss.update_seconds");
+        obs::Registry::instance().gauge("dss.update_cpu_seconds");
     static obs::Gauge& decode =
-        obs::Registry::instance().gauge("dss.decode_seconds");
+        obs::Registry::instance().gauge("dss.decode_cpu_seconds");
     projection.add(prof.projection);
-    gather.add(prof.gather);
     aggregate.add(prof.aggregate);
     update.add(prof.update);
     decode.add(prof.decode);
@@ -49,7 +43,6 @@ void record_phase_profile(const DssPhaseProfile& prof, std::int64_t start_ns,
     double seconds;
   };
   const Child children[] = {{"dss.projection", prof.projection},
-                            {"dss.gather", prof.gather},
                             {"dss.aggregate", prof.aggregate},
                             {"dss.update", prof.update},
                             {"dss.decode", prof.decode}};
@@ -93,30 +86,6 @@ void aggregate_scatter(const GraphTopology& topo, const nn::Tensor& m,
   }
 }
 
-void aggregate_segmented(const GraphTopology& topo, const nn::Tensor& m,
-                         nn::Tensor& phi) {
-  const Index n = topo.n;
-  DDMGNN_CHECK(topo.recv_ptr.size() == static_cast<std::size_t>(n) + 1,
-               "aggregate_segmented: topology not finalized "
-               "(call finalize_topology)");
-  const int d = m.cols;
-  phi.resize(n, d);
-  parallel_for(
-      n,
-      [&](long j) {
-        float* dst = phi.row(static_cast<int>(j));
-        for (int k = 0; k < d; ++k) dst[k] = 0.0f;
-        const la::Offset lo = topo.recv_ptr[j];
-        const la::Offset hi = topo.recv_ptr[j + 1];
-        for (la::Offset idx = lo; idx < hi; ++idx) {
-          const float* src = m.row(topo.recv_order[idx]);
-#pragma omp simd
-          for (int k = 0; k < d; ++k) dst[k] += src[k];
-        }
-      },
-      kNodeGrain);
-}
-
 void project_attr(const GraphTopology& topo, const float* w, int ldw,
                   int col0, const float* b, float sign, int out,
                   nn::Tensor& y) {
@@ -153,46 +122,22 @@ void project_attr(const GraphTopology& topo, const float* w, int ldw,
       kEdgeGrain);
 }
 
-void gather_edge_preact(const GraphTopology& topo, const nn::Tensor& p_recv,
+void aggregate_edge_mlp(const GraphTopology& topo, const nn::Tensor& p_recv,
                         const nn::Tensor& p_send, const nn::Tensor& attr_proj,
-                        nn::Tensor& e_act) {
-  const Index ne = topo.num_edges();
-  const int out = p_recv.cols;
-  DDMGNN_ASSERT(p_send.cols == out && attr_proj.cols == out &&
-                attr_proj.rows == ne);
-  e_act.resize(ne, out);
-  parallel_for(
-      ne,
-      [&](long e) {
-        const float* pr = p_recv.row(topo.recv[e]);
-        const float* ps = p_send.row(topo.send[e]);
-        const float* ap = attr_proj.row(static_cast<int>(e));
-        float* row = e_act.row(static_cast<int>(e));
-#pragma omp simd
-        for (int o = 0; o < out; ++o) {
-          const float v = pr[o] + ps[o] + ap[o];
-          row[o] = v > 0.0f ? v : 0.0f;
-        }
-      },
-      kEdgeGrain);
-}
-
-void fused_layer2_aggregate(const GraphTopology& topo,
-                            const nn::Tensor& p_recv,
-                            const nn::Tensor& p_send,
-                            const nn::Tensor& attr_proj, const float* w2,
-                            const float* b2, int out, nn::Tensor& phi) {
+                        const float* w2, const float* b2, int out,
+                        nn::Tensor& act_sum, nn::Tensor& phi) {
   const Index n = topo.n;
   DDMGNN_CHECK(topo.recv_ptr.size() == static_cast<std::size_t>(n) + 1,
-               "fused_layer2_aggregate: topology not finalized "
+               "aggregate_edge_mlp: topology not finalized "
                "(call finalize_topology)");
   const int hid = p_recv.cols;
   DDMGNN_ASSERT(p_send.cols == hid && attr_proj.cols == hid &&
                 attr_proj.rows == topo.num_edges());
+  act_sum.resize(n, hid);
   phi.resize(n, out);
   if (n == 0 || out == 0) return;
-  // Pre-transpose W₂ to [hid × out] once, outside the node loop, exactly as
-  // fused_gemm would — the per-row GEMM below then matches it bitwise.
+  // W₂ transposed to [hid × out], so the per-node product below is hid
+  // broadcast-multiply-adds over unit-stride outputs.
   std::vector<float> wt(static_cast<std::size_t>(hid) * out);
   for (int o = 0; o < out; ++o) {
     const float* wo = w2 + static_cast<std::size_t>(o) * hid;
@@ -204,37 +149,36 @@ void fused_layer2_aggregate(const GraphTopology& topo,
   parallel_for(
       n,
       [&](long j) {
-        thread_local nn::Tensor act;  // batch activations (≤ block × hid)
-        thread_local nn::Tensor msg;  // batch messages (≤ block × out)
         float* dst = phi.row(static_cast<int>(j));
-        for (int k = 0; k < out; ++k) dst[k] = 0.0f;
         const la::Offset lo = topo.recv_ptr[j];
         const la::Offset hi = topo.recv_ptr[j + 1];
-        // Every edge in node j's segment has recv[e] == j.
+        if (lo == hi) {  // no in-edges (Dirichlet receiver): φ_j = 0
+          for (int o = 0; o < out; ++o) dst[o] = 0.0f;
+          return;
+        }
+        // Σ_e a_e over node j's segment, in recv_order. Every edge in the
+        // segment has recv[e] == j, so the receiver projection is one row.
+        float* acc = act_sum.row(static_cast<int>(j));
+        for (int k = 0; k < hid; ++k) acc[k] = 0.0f;
         const float* pr = p_recv.row(static_cast<int>(j));
-        for (la::Offset base = lo; base < hi; base += kFusedEdgeBlock) {
-          const int nb = static_cast<int>(
-              std::min<la::Offset>(kFusedEdgeBlock, hi - base));
-          act.resize(nb, hid);
-          msg.resize(nb, out);
-          for (int r = 0; r < nb; ++r) {
-            const Index e = topo.recv_order[base + r];
-            const float* ps = p_send.row(topo.send[e]);
-            const float* ap = attr_proj.row(e);
-            float* row = act.row(r);
+        for (la::Offset idx = lo; idx < hi; ++idx) {
+          const Index e = topo.recv_order[idx];
+          const float* ps = p_send.row(topo.send[e]);
+          const float* ap = attr_proj.row(e);
 #pragma omp simd
-            for (int o = 0; o < hid; ++o) {
-              const float v = pr[o] + ps[o] + ap[o];
-              row[o] = v > 0.0f ? v : 0.0f;
-            }
+          for (int k = 0; k < hid; ++k) {
+            const float v = pr[k] + ps[k] + ap[k];
+            acc[k] += v > 0.0f ? v : 0.0f;
           }
-          nn::fused_gemm_rows(wtp, hid, out, b2, /*relu=*/false, act, msg, 0,
-                              nb);
-          for (int r = 0; r < nb; ++r) {
-            const float* src = msg.row(r);
+        }
+        // φ_j = W₂·acc + deg_j·b₂.
+        const auto deg = static_cast<float>(hi - lo);
+        for (int o = 0; o < out; ++o) dst[o] = deg * b2[o];
+        for (int k = 0; k < hid; ++k) {
+          const float a = acc[k];
+          const float* wk = wtp + static_cast<std::size_t>(k) * out;
 #pragma omp simd
-            for (int k = 0; k < out; ++k) dst[k] += src[k];
-          }
+          for (int o = 0; o < out; ++o) dst[o] += a * wk[o];
         }
       },
       kNodeGrain);

@@ -1,21 +1,35 @@
 // Inference kernels of the factorized DSS engine, plus the scalar reference
 // implementations they are tested against.
 //
-// The factorization (exact, not approximate): the first layer of an edge MLP
-// computes  [h_recv | h_send | ±attr] · W₁ᵀ + b₁  over all ne edges. Split
-// W₁ = [W_recv | W_send | W_attr] by column block and the per-edge GEMM
-// becomes
+// Two exact identities (exact in real arithmetic; in float they differ from
+// the reference only by rounding) turn the edge MLPs into node-level work.
 //
-//   pre[e] = (H·W_recvᵀ)[recv[e]] + (H·W_sendᵀ)[send[e]] + (attr·W_attrᵀ + b₁)[e]
+// 1. Split the first layer. The first layer of an edge MLP computes
+//    [h_recv | h_send | ±attr] · W₁ᵀ + b₁ over all ne edges. Split
+//    W₁ = [W_recv | W_send | W_attr] by column block and the per-edge GEMM
+//    becomes
 //
-// i.e. two n×d GEMMs on node states (instead of one ne×(2d+3) GEMM on a
-// materialized edge-input matrix) plus a per-edge gather-sum. The attr term
-// depends only on edge geometry and frozen model parameters, so it is
-// precomputed once per (topology, model) pair — DssEdgeCache — and reused
-// across every apply of every solve. Aggregation runs as a segmented
-// reduction over the receiver-CSR index (GraphTopology::recv_ptr /
-// recv_order): parallel over nodes, no atomics, bitwise equal to the serial
-// scatter at any thread count.
+//      pre[e] = (H·W_recvᵀ)[recv[e]] + (H·W_sendᵀ)[send[e]] + (attr·W_attrᵀ + b₁)[e]
+//
+//    i.e. two n×d GEMMs on node states (instead of one ne×(2d+3) GEMM on a
+//    materialized edge-input matrix) plus a per-edge gather-sum. The attr
+//    term depends only on edge geometry and frozen model parameters, so it
+//    is precomputed once per (topology, model) pair — DssEdgeCache — and
+//    reused across every apply of every solve.
+//
+// 2. Aggregate, then project. The second layer is linear and aggregation is
+//    a sum, so with a_e = ReLU(pre[e]) and deg_j the in-degree of node j
+//
+//      φ_j = Σ_{e→j} (W₂·a_e + b₂) = W₂·(Σ_{e→j} a_e) + deg_j·b₂.
+//
+//    The per-edge work shrinks to gather, add, ReLU and accumulate (ne·h),
+//    and the layer-2 product runs once per node (n·h·d multiply-adds) instead
+//    of once per edge (ne·h·d) — at the paper's widths (d = h = 10, ~6 edges
+//    per node) that removes about half of a block's arithmetic.
+//
+// Aggregation walks the receiver-CSR index (GraphTopology::recv_ptr /
+// recv_order): parallel over nodes, no atomics, and a fixed per-node
+// accumulation order, so results are bitwise identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +62,11 @@ struct DssEdgeCache {
 /// passes — the bench_precond_apply breakdown.
 struct DssPhaseProfile {
   double projection = 0.0;  ///< node/edge GEMMs of the message MLPs
-  double gather = 0.0;      ///< per-edge pre-activation assembly + ReLU
-  double aggregate = 0.0;   ///< segmented per-node message reduction
+  /// Always 0 on the fast path: aggregate_edge_mlp fuses the per-edge gather
+  /// into its reduction, so that time lands on `aggregate`. The slot stays so
+  /// profile consumers keep their five-phase layout.
+  double gather = 0.0;
+  double aggregate = 0.0;   ///< aggregate_edge_mlp: gather + sum + layer 2
   double update = 0.0;      ///< Ψ input assembly + MLP + ResNet step
   double decode = 0.0;      ///< decoder MLP
 
@@ -67,11 +84,13 @@ struct DssPhaseProfile {
 };
 
 /// Telemetry bridge: fold one measured forward pass into the obs layer — a
-/// "dss.forward" span over [start_ns, end_ns) with the five phases laid
-/// end-to-end as child spans (when tracing), and per-phase dss.*_seconds
-/// gauges (when metrics are on). The profile is only filled by the fast
-/// path; a zero total() still emits the parent span so wall-time coverage
-/// holds on the reference path. Safe to call from OpenMP worker threads.
+/// "dss.forward" span over [start_ns, end_ns) with the non-zero phases laid
+/// end-to-end as child spans (when tracing), and per-phase
+/// dss.*_cpu_seconds gauges (when metrics are on). Concurrent forwards each
+/// add their own phase times, so the gauges hold CPU time summed across
+/// threads, not wall time. The profile is only filled by the fast path; a
+/// zero total() still emits the parent span so wall-time coverage holds on
+/// the reference path. Safe to call from OpenMP worker threads.
 void record_phase_profile(const DssPhaseProfile& prof, std::int64_t start_ns,
                           std::int64_t end_ns);
 
@@ -83,12 +102,6 @@ void build_edge_inputs(const GraphTopology& topo, const nn::Tensor& h,
 void aggregate_scatter(const GraphTopology& topo, const nn::Tensor& m,
                        Index n, nn::Tensor& phi);
 
-/// Segmented aggregation over the receiver-CSR index: parallel over nodes,
-/// per-node accumulation order identical to aggregate_scatter — bitwise
-/// equal results at any thread count. Requires finalize_topology().
-void aggregate_segmented(const GraphTopology& topo, const nn::Tensor& m,
-                         nn::Tensor& phi);
-
 /// Attr-column projection y[e,:] = [s·dx, s·dy, dist]·W_attrᵀ + b with
 /// W_attr = columns [col0, col0+3) of the row-major [out × ldw] matrix `w`
 /// (the edge MLP's first layer) and s = sign. The bias is folded in here so
@@ -97,26 +110,17 @@ void project_attr(const GraphTopology& topo, const float* w, int ldw,
                   int col0, const float* b, float sign, int out,
                   nn::Tensor& y);
 
-/// Fused gather: e_act[e,:] = ReLU(p_recv[recv[e],:] + p_send[send[e],:] +
-/// attr_proj[e,:]) — the factorized first layer's activation.
-void gather_edge_preact(const GraphTopology& topo, const nn::Tensor& p_recv,
+/// Edge MLP messages aggregated per receiver by identity 2 above:
+/// phi[j,:] = W₂·Σ_{e→j} ReLU(p_recv[j,:] + p_send[send[e],:] +
+/// attr_proj[e,:]) + deg_j·b₂, with `w2` row-major [out × hidden] and bias
+/// `b2`. `act_sum` is n × hidden scratch (it ends up holding the per-node
+/// activation sums of receivers with in-edges). Receivers without in-edges
+/// (Dirichlet nodes) get phi = 0. One pass over the receiver-CSR index,
+/// parallel over nodes; bitwise identical at any thread count. Requires
+/// finalize_topology().
+void aggregate_edge_mlp(const GraphTopology& topo, const nn::Tensor& p_recv,
                         const nn::Tensor& p_send, const nn::Tensor& attr_proj,
-                        nn::Tensor& e_act);
-
-/// Fused layer2 + aggregate: the gather, the edge MLP's second-layer GEMM
-/// (`w2` row-major [out × in], bias `b2`), and the receiver-CSR segmented
-/// reduction in one pass. Edges are consumed per receiver node in recv_order,
-/// in small register-blocked batches whose layer-2 output rows are
-/// accumulated straight into phi[j] — the ne×hidden activation and ne×out
-/// message matrices of the two-step path are never materialized. Per-row
-/// GEMM arithmetic is fused_gemm's and the per-node accumulation order is
-/// aggregate_segmented's, so the result is bitwise equal to
-/// gather_edge_preact + forward_fused + aggregate_segmented at any thread
-/// count and any batch boundary. Requires finalize_topology().
-void fused_layer2_aggregate(const GraphTopology& topo,
-                            const nn::Tensor& p_recv,
-                            const nn::Tensor& p_send,
-                            const nn::Tensor& attr_proj, const float* w2,
-                            const float* b2, int out, nn::Tensor& phi);
+                        const float* w2, const float* b2, int out,
+                        nn::Tensor& act_sum, nn::Tensor& phi);
 
 }  // namespace ddmgnn::gnn

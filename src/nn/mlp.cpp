@@ -16,8 +16,6 @@ constexpr long kRowParallelGrain = 4096;
 /// Rows handed to one worker task.
 constexpr long kRowChunk = 1024;
 
-}  // namespace
-
 /// One block of rows through the outer-product kernel: accumulators live in
 /// the output rows (unit stride, simd-friendly), weights are pre-transposed
 /// to [in × out] so each input scalar broadcasts against a contiguous weight
@@ -90,6 +88,8 @@ void fused_gemm_rows(const float* wt, int in, int out, const float* b,
     }
   }
 }
+
+}  // namespace
 
 void fused_gemm(const float* w, int ldw, int col0, int out, const float* b,
                 bool relu, const Tensor& x, Tensor& y) {

@@ -277,21 +277,17 @@ void Registry::reset() {
 }
 
 std::string dominant_phase(double* seconds_out) {
-  // Leaf apply phases: the DSS phases live inside asm.subdomain_solve, so
-  // when any of them fired, the parent drops out of the comparison.
-  static const char* const kDssPhases[] = {
-      "dss.projection_seconds", "dss.gather_seconds", "dss.aggregate_seconds",
-      "dss.update_seconds", "dss.decode_seconds"};
+  // Wall-time apply phases are ranked against each other. The DSS gauges sum
+  // CPU time across threads, so they cannot compete with wall time; they
+  // only break asm.subdomain_solve down when it wins.
   static const char* const kAsmPhases[] = {
       "asm.restrict_seconds", "asm.subdomain_solve_seconds",
       "asm.coarse_seconds", "asm.prolong_seconds"};
+  static const char* const kDssPhases[] = {
+      "dss.projection_cpu_seconds", "dss.aggregate_cpu_seconds",
+      "dss.update_cpu_seconds", "dss.decode_cpu_seconds"};
 
-  Registry& reg = Registry::instance();
-  double dss_total = 0.0;
-  for (const char* name : kDssPhases) {
-    if (const Gauge* g = reg.find_gauge(name)) dss_total += g->value();
-  }
-
+  const Registry& reg = Registry::instance();
   std::string best;
   double best_v = 0.0;
   auto consider = [&](const char* name) {
@@ -301,15 +297,12 @@ std::string dominant_phase(double* seconds_out) {
       best = name;
     }
   };
-  for (const char* name : kAsmPhases) {
-    if (dss_total > 0.0 &&
-        std::string_view(name) == "asm.subdomain_solve_seconds") {
-      continue;
-    }
-    consider(name);
-  }
-  if (dss_total > 0.0) {
+  for (const char* name : kAsmPhases) consider(name);
+  if (best == "asm.subdomain_solve_seconds") {
+    const double wall = best_v;
+    best_v = 0.0;
     for (const char* name : kDssPhases) consider(name);
+    if (best_v == 0.0) best_v = wall;  // no DSS ran: keep the wall phase
   }
   if (seconds_out) *seconds_out = best_v;
   return best;

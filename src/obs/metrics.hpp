@@ -12,8 +12,9 @@
 // deterministic JSON document (what bench_serving --metrics writes).
 //
 // Canonical metric names are documented in the README "Observability"
-// section; dominant_phase() below knows the apply-phase subset ("asm.*" /
-// "dss.*" *_seconds gauges) used to summarize where preconditioner time went.
+// section; dominant_phase() below knows the apply-phase subset (wall-time
+// "asm.*_seconds" gauges, broken down by the CPU-time "dss.*_cpu_seconds"
+// gauges) used to summarize where preconditioner time went.
 #pragma once
 
 #include <atomic>
@@ -131,12 +132,14 @@ class Registry {
   std::vector<std::unique_ptr<Entry>> entries_;
 };
 
-/// Name of the largest apply-phase gauge ("asm.*" / "dss.*" *_seconds): the
-/// one-word answer to "where did preconditioner time go". When the DSS phase
-/// gauges are populated they replace their parent asm.subdomain_solve_seconds
-/// in the comparison (a child can never out-rank the span that contains it).
-/// Empty string when no phase gauge has fired. `seconds_out` (optional)
-/// receives the winner's value.
+/// Name of the largest wall-time apply-phase gauge (asm.restrict / coarse /
+/// prolong / subdomain_solve _seconds): the one-word answer to "where did
+/// preconditioner time go". When asm.subdomain_solve_seconds wins and DSS
+/// inference ran inside it, the largest dss.*_cpu_seconds gauge is named
+/// instead (CPU time summed across threads, so it is never ranked against
+/// the wall-time phases). Empty string when no phase gauge has fired.
+/// `seconds_out` (optional) receives the named gauge's value, in that
+/// gauge's unit.
 std::string dominant_phase(double* seconds_out = nullptr);
 
 }  // namespace ddmgnn::obs

@@ -2,9 +2,9 @@
 // (gnn/dss_kernels.hpp):
 //   - fused Linear kernel vs the scalar reference across shapes and
 //     thread counts (including the fused-ReLU variant),
-//   - segmented aggregation vs serial scatter, required BITWISE equal at
-//     any thread count (the receiver-CSR index preserves per-destination
-//     accumulation order),
+//   - the aggregate-then-project edge-MLP kernel vs a double-precision
+//     per-edge Σ(W₂·a_e + b₂) across hidden widths, including receivers
+//     without in-edges, bitwise identical at any thread count,
 //   - factorized forward vs reference forward within 1e-4 relative on
 //     random graphs across latent/hidden sizes, cached and cache-less
 //     (which must agree bit-for-bit with each other),
@@ -137,33 +137,81 @@ TEST(FusedLinear, MatchesReferenceAcrossShapesAndThreadCounts) {
   }
 }
 
-TEST(Aggregation, SegmentedBitwiseEqualsSerialScatterAtAnyThreadCount) {
+TEST(EdgeMlpAggregation, MatchesPerEdgeDoubleReferenceAcrossHiddenWidths) {
   ThreadGuard guard;
-  for (const Index n : {13, 257, 3000}) {
-    const auto s = random_sample(n, 100 + n, 3);
+  constexpr int kOut = 7;
+  for (const int hid : {3, 10, 40}) {
+    const Index n = 3000;  // above the node-loop fork threshold
+    const auto s = random_sample(n, 400 + hid, 3);
     const auto& topo = *s.topo;
-    Rng rng(7);
-    nn::Tensor m(topo.num_edges(), 6);
-    for (auto& v : m.d) v = static_cast<float>(rng.uniform(-1, 1));
+    const Index ne = topo.num_edges();
+    Rng rng(17 + hid);
+    auto fill = [&](nn::Tensor& t, Index rows, int cols) {
+      t.resize(rows, cols);
+      for (auto& v : t.d) v = static_cast<float>(rng.uniform(-1, 1));
+    };
+    nn::Tensor p_recv, p_send, attr_proj, w2, b2;
+    fill(p_recv, n, hid);
+    fill(p_send, n, hid);
+    fill(attr_proj, ne, hid);
+    fill(w2, kOut, hid);  // row-major [out × hidden]
+    fill(b2, 1, kOut);
 
-    nn::Tensor ref, seg1, seg4;
-    gnn::aggregate_scatter(topo, m, n, ref);
-    set_num_threads(1);
-    gnn::aggregate_segmented(topo, m, seg1);
-    set_num_threads(4);
-    gnn::aggregate_segmented(topo, m, seg4);
+    // Double-precision per-edge messages W₂·a_e + b₂, scattered to their
+    // receivers. `scale` accumulates Σ|terms| per entry — the magnitude the
+    // float kernel's rounding error is relative to.
+    std::vector<double> ref(static_cast<std::size_t>(n) * kOut, 0.0);
+    std::vector<double> scale(ref.size(), 0.0);
+    std::vector<double> a(hid);
+    for (Index e = 0; e < ne; ++e) {
+      for (int k = 0; k < hid; ++k) {
+        const double v = double(p_recv.row(topo.recv[e])[k]) +
+                         double(p_send.row(topo.send[e])[k]) +
+                         double(attr_proj.row(e)[k]);
+        a[k] = v > 0.0 ? v : 0.0;
+      }
+      for (int o = 0; o < kOut; ++o) {
+        const std::size_t at = static_cast<std::size_t>(topo.recv[e]) * kOut + o;
+        ref[at] += b2.d[o];
+        scale[at] += std::abs(double(b2.d[o]));
+        for (int k = 0; k < hid; ++k) {
+          const double t = double(w2.row(o)[k]) * a[k];
+          ref[at] += t;
+          scale[at] += std::abs(t);
+        }
+      }
+    }
+
+    // Bitwise identical at every thread count; phi1 is checked below.
+    nn::Tensor act_sum, phi1, phi;
+    for (const int threads : {1, 2, 4}) {
+      set_num_threads(threads);
+      gnn::aggregate_edge_mlp(topo, p_recv, p_send, attr_proj, w2.d.data(),
+                              b2.d.data(), kOut, act_sum,
+                              threads == 1 ? phi1 : phi);
+      if (threads == 1) continue;
+      ASSERT_EQ(phi.size(), phi1.size());
+      EXPECT_EQ(std::memcmp(phi.d.data(), phi1.d.data(),
+                            phi1.size() * sizeof(float)),
+                0)
+          << "hidden=" << hid << " threads=" << threads;
+    }
     set_num_threads(0);
 
-    ASSERT_EQ(seg1.size(), ref.size());
-    ASSERT_EQ(seg4.size(), ref.size());
-    EXPECT_EQ(std::memcmp(seg1.d.data(), ref.d.data(),
-                          ref.size() * sizeof(float)),
-              0)
-        << "n=" << n;
-    EXPECT_EQ(std::memcmp(seg4.d.data(), ref.d.data(),
-                          ref.size() * sizeof(float)),
-              0)
-        << "n=" << n;
+    ASSERT_EQ(phi1.rows, n);
+    ASSERT_EQ(phi1.cols, kOut);
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_NEAR(phi1.d[i], ref[i], 1e-5 * scale[i])
+          << "hidden=" << hid << " entry=" << i;
+    }
+    // random_sample marks nodes 0 and n/2 Dirichlet: they receive no
+    // messages, so φ is exactly zero there.
+    for (const Index j : {Index{0}, static_cast<Index>(n / 2)}) {
+      ASSERT_EQ(topo.recv_ptr[j], topo.recv_ptr[j + 1]) << "node " << j;
+      for (int o = 0; o < kOut; ++o) {
+        EXPECT_EQ(phi1.row(j)[o], 0.0f) << "hidden=" << hid << " node " << j;
+      }
+    }
   }
 }
 
@@ -233,26 +281,18 @@ TEST(FastForward, ProfileAccumulatesIntoAllPhases) {
   cfg.iterations = 4;
   cfg.latent = 8;
   cfg.hidden = 8;
-  // The three-step path fills all five phases; the fused layer2+aggregate
-  // kernel folds gather + layer-2 GEMM into the aggregate slot.
-  cfg.fused_aggregate = false;
   gnn::DssModel model(cfg, 5);
   gnn::DssWorkspace ws;
   std::vector<float> out;
   gnn::DssPhaseProfile prof;
   for (int r = 0; r < 3; ++r) model.forward(s, nullptr, ws, out, &prof);
   EXPECT_GT(prof.projection, 0.0);
-  EXPECT_GT(prof.gather, 0.0);
   EXPECT_GT(prof.aggregate, 0.0);
   EXPECT_GT(prof.update, 0.0);
   EXPECT_GT(prof.decode, 0.0);
   EXPECT_GT(prof.total(), 0.0);
-
-  model.set_fused_aggregate(true);
-  gnn::DssPhaseProfile fused;
-  for (int r = 0; r < 3; ++r) model.forward(s, nullptr, ws, out, &fused);
-  EXPECT_GT(fused.aggregate, 0.0);
-  EXPECT_EQ(fused.gather, 0.0);
+  // aggregate_edge_mlp fuses the per-edge gather into the aggregate slot.
+  EXPECT_EQ(prof.gather, 0.0);
 }
 
 TEST(FastForward, SolverIterationCountsMatchReferenceForAllGnnEntries) {

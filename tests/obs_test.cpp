@@ -22,6 +22,7 @@
 #include "core/session_cache.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
+#include "gnn/dss_model.hpp"
 #include "mesh/generator.hpp"
 #include "obs/flags.hpp"
 #include "obs/forensics.hpp"
@@ -435,6 +436,84 @@ TEST(ObsCache, HitMissCountersAndSolveMetrics) {
   const std::string phase = obs::dominant_phase(&seconds);
   EXPECT_FALSE(phase.empty());
   EXPECT_GT(seconds, 0.0);
+}
+
+// ------------------------------------------------------------------ units --
+
+TEST(ObsUnits, DominantPhaseRanksWallPhasesThenNamesDssCpuPhase) {
+  auto& reg = obs::Registry::instance();
+  reg.reset();
+  reg.gauge("asm.restrict_seconds").set(1.0);
+  reg.gauge("asm.coarse_seconds").set(2.0);
+  reg.gauge("asm.subdomain_solve_seconds").set(3.0);
+  // CPU time summed over threads exceeds every wall phase, yet must not be
+  // ranked against them: it only breaks the subdomain solve down.
+  reg.gauge("dss.projection_cpu_seconds").set(4.0);
+  reg.gauge("dss.aggregate_cpu_seconds").set(9.0);
+  double seconds = 0.0;
+  EXPECT_EQ(obs::dominant_phase(&seconds), "dss.aggregate_cpu_seconds");
+  EXPECT_EQ(seconds, 9.0);
+
+  // A wall phase that beats the subdomain solve wins outright, whatever
+  // the DSS CPU totals are.
+  reg.gauge("asm.coarse_seconds").set(5.0);
+  EXPECT_EQ(obs::dominant_phase(&seconds), "asm.coarse_seconds");
+  EXPECT_EQ(seconds, 5.0);
+
+  // No DSS inference ran (Cholesky local solves): the wall phase is named.
+  reg.reset();
+  reg.gauge("asm.subdomain_solve_seconds").set(3.0);
+  reg.gauge("asm.prolong_seconds").set(1.0);
+  EXPECT_EQ(obs::dominant_phase(&seconds), "asm.subdomain_solve_seconds");
+  EXPECT_EQ(seconds, 3.0);
+  reg.reset();
+}
+
+TEST(ObsUnits, ThreadSummedDssGaugesCarryCpuSecondsNames) {
+  ObsFlagGuard guard;
+  obs::set_metrics_enabled(true);
+  auto& reg = obs::Registry::instance();
+  reg.reset();
+  auto [m, prob] = small_problem(17);
+  gnn::DssConfig mc;
+  mc.iterations = 2;
+  mc.latent = 4;
+  mc.hidden = 4;
+  gnn::DssModel model(mc, 3);  // untrained: only the telemetry is checked
+  core::HybridConfig cfg;
+  cfg.preconditioner = "ddm-gnn";
+  cfg.subdomain_target_nodes = 200;
+  cfg.max_iterations = 3;
+  cfg.model = &model;
+  core::SolverSession session;
+  session.setup(m, prob, cfg);
+  std::vector<double> x(prob.b.size(), 0.0);
+  session.solve(prob.b, x);
+
+  const auto value = [&](const char* name) {
+    const obs::Gauge* g = reg.find_gauge(name);
+    return g != nullptr ? g->value() : -1.0;
+  };
+  EXPECT_GT(value("setup.dss_edge_cache_cpu_seconds"), 0.0);
+  for (const char* name :
+       {"dss.projection_cpu_seconds", "dss.aggregate_cpu_seconds",
+        "dss.update_cpu_seconds", "dss.decode_cpu_seconds"}) {
+    EXPECT_GT(value(name), 0.0) << name;
+  }
+  EXPECT_GT(value("asm.subdomain_solve_seconds"), 0.0);
+  // The wall-time names are not reused for thread-summed quantities.
+  for (const char* name :
+       {"setup.dss_edge_cache_seconds", "dss.projection_seconds",
+        "dss.gather_seconds", "dss.aggregate_seconds", "dss.update_seconds",
+        "dss.decode_seconds"}) {
+    EXPECT_EQ(reg.find_gauge(name), nullptr) << name;
+  }
+  const std::string phase = obs::dominant_phase();
+  const bool wall_phase = phase.rfind("asm.", 0) == 0;
+  const bool dss_cpu_phase = phase.rfind("dss.", 0) == 0 &&
+                             phase.find("_cpu_seconds") != std::string::npos;
+  EXPECT_TRUE(wall_phase || dss_cpu_phase) << phase;
+  reg.reset();
 }
 
 }  // namespace

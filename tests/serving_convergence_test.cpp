@@ -5,15 +5,15 @@
 //     the worst case the serving bench used to fail on: the adaptive setup
 //     must detect the non-contractive subdomains and rescue them with the
 //     exact Cholesky fallback.
-//   - the fused layer2+aggregate kernel is BITWISE equal to the three-step
-//     gather / layer-2 GEMM / segmented-aggregate path at any thread count
-//     (per-row GEMM accumulation order is blocking-invariant and the
-//     receiver-CSR reduction preserves per-destination order).
+//   - at the paper's model shape, the fast DSS forward (aggregate-then-
+//     project edge MLPs) is BITWISE identical at 1/2/4 threads (fixed
+//     per-node accumulation order) and within 1e-4 of the reference path.
 //   - a mixed-precision (fp32 preconditioner apply) solve still meets the
 //     fp64 tolerance on the true residual, and the default Krylov selection
 //     bumps PCG to flexible PCG when fp32 is on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -124,12 +124,15 @@ TEST(ServingConvergence, CachedSessionDdmGnnConvergesAtSmokeScale) {
   }
 }
 
-TEST(ServingConvergence, FusedAggregateBitwiseEqualsTwoStepAtAnyThreadCount) {
+TEST(ServingConvergence, FastForwardBitwiseAcrossThreadsAndNearReference) {
   ThreadGuard guard;
-  auto [m, prob] = smoke_problem(/*seed=*/11, /*nodes=*/500);
+  // Above the kernels' 2048-node fork threshold, so 2 and 4 threads really
+  // split the node loops.
+  auto [m, prob] = smoke_problem(/*seed=*/11, /*nodes=*/3000);
   const la::CsrMatrix pattern = gnn::adjacency_pattern(m.adj_ptr(), m.adj());
   gnn::GraphSample s;
   s.topo = gnn::build_topology(prob.A, m.points(), prob.dirichlet, &pattern);
+  ASSERT_GT(s.topo->n, 2048);
   s.rhs.resize(prob.b.size());
   Rng rng(21);
   for (double& v : s.rhs) v = rng.uniform(-1.0, 1.0);
@@ -139,23 +142,32 @@ TEST(ServingConvergence, FusedAggregateBitwiseEqualsTwoStepAtAnyThreadCount) {
   gnn::DssConfig mc;  // paper shape, untrained — bit patterns are what count
   gnn::DssModel model(mc, /*seed=*/3);
   gnn::DssWorkspace ws;
+  const gnn::DssEdgeCache cache = model.precompute_edges(*s.topo);
 
-  model.set_fused_aggregate(false);
+  model.set_fast_inference(false);
   std::vector<float> ref;
-  set_num_threads(1);
   model.forward(s, ws, ref);
-  ASSERT_FALSE(ref.empty());
+  ASSERT_EQ(ref.size(), prob.b.size());
+  float max_abs = 0.0f;
+  for (const float v : ref) max_abs = std::max(max_abs, std::abs(v));
 
-  model.set_fused_aggregate(true);
+  model.set_fast_inference(true);
+  std::vector<float> one;
   for (const int threads : {1, 2, 4}) {
     set_num_threads(threads);
-    std::vector<float> fused;
-    model.forward(s, ws, fused);
-    ASSERT_EQ(fused.size(), ref.size()) << "threads=" << threads;
-    EXPECT_EQ(std::memcmp(fused.data(), ref.data(),
-                          ref.size() * sizeof(float)),
+    std::vector<float> fast;
+    model.forward(s, &cache, ws, fast);
+    ASSERT_EQ(fast.size(), ref.size()) << "threads=" << threads;
+    if (threads == 1) {
+      one = fast;
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_NEAR(fast[i], ref[i], 1e-4f * (1.0f + max_abs)) << "i=" << i;
+      }
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(fast.data(), one.data(), one.size() * sizeof(float)),
               0)
-        << "fused kernel not bitwise at threads=" << threads;
+        << "fast forward not bitwise at threads=" << threads;
   }
 }
 
