@@ -184,77 +184,93 @@ void GnnSubdomainSolver::setup(std::vector<la::CsrMatrix> local_matrices,
   std::atomic<la::Index> fallbacks{0};
   parallel_for_dynamic(k, [&](long i) {
     const auto& topo = topologies_[i];
-    const auto n = static_cast<std::size_t>(topo->n);
-    gnn::DssWorkspace dss;  // setup-time scratch, dropped after probing
-    gnn::GraphSample sample;
-    sample.topo = topo;
-    sample.rhs.resize(n);
-    std::vector<float> out;
-    std::vector<double> r(n), z(n), res(n);
-    int needed = -1;  // pass count reaching the target, max over probes
-    for (int probe = 0; probe < probes; ++probe) {
-      Rng rng((0x5EEDull << 32) ^ (static_cast<std::uint64_t>(i) << 8) ^
-              static_cast<std::uint64_t>(probe));
-      for (std::size_t l = 0; l < n; ++l) r[l] = rng.uniform(-1.0, 1.0);
-      const double r0 = la::norm2(r);
-      std::fill(z.begin(), z.end(), 0.0);
-      res = r;
-      int reached = -1;
-      for (int pass = 0; pass <= max_steps; ++pass) {
-        const double norm = la::norm2(res);
-        if (norm <= options_.zero_threshold) {
-          reached = pass == 0 ? 0 : pass - 1;
-          break;
-        }
-        const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
-        for (std::size_t l = 0; l < n; ++l) sample.rhs[l] = res[l] * inv;
-        timed_forward(*model_, sample, edge_caches_[i].get(), dss, out);
-        const double scale = options_.normalize_input ? norm : 1.0;
-        for (std::size_t l = 0; l < n; ++l) {
-          z[l] += scale * static_cast<double>(out[l]);
-        }
-        topo->a_local.multiply(z, res);
-        for (std::size_t l = 0; l < n; ++l) res[l] = r[l] - res[l];
-        const double rho = la::norm2(res) / (r0 > 0.0 ? r0 : 1.0);
-        if (std::isfinite(rho) && rho <= target) {
-          reached = pass;
-          break;
-        }
-      }
-      if (reached < 0) {
-        needed = -1;  // one bad probe disqualifies the subdomain
-        break;
-      }
-      needed = std::max(needed, reached);
-    }
-    bool use_fallback = needed < 0;  // non-contractive: correctness fallback
     std::unique_ptr<la::SkylineCholesky> chol;
-    if (!use_fallback && options_.cost_aware_fallback) {
-      // Cost model, per preconditioner application. Exact: forward+backward
-      // envelope sweeps, 2 flops per stored entry each (the factorization is
-      // one-time setup cost, not counted). GNN: (passes+1) inferences, each
-      // k̄ message-passing iterations of two n×d×hidden edge-endpoint
-      // projections, the per-edge gather-add of hidden-width activations,
-      // one hidden×d layer-2 product per node (aggregate_edge_mlp), and the
-      // ~3 d×d-shaped node-update GEMMs.
+    // Cost model, per preconditioner application. Exact: forward+backward
+    // envelope sweeps, 2 flops per stored entry each (the factorization is
+    // one-time setup cost, not counted). GNN: (passes+1) inferences, each k̄
+    // three-pass blocks (dss_kernels.hpp): the stacked n×d×4h projection
+    // GEMM, the per-edge gather-add of both MLPs' hidden-width activations
+    // (ne·2h), and Ψ on [h, c, (flag), S→, S←, deg] plus its second layer,
+    // n·((d + in + 2h + 1)·h + h·d) multiply-adds — 2 flops per
+    // multiply-add throughout.
+    double exact_flops = 0.0;
+    double per_inference = 0.0;
+    if (options_.cost_aware_fallback) {
       chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
-      const double exact_flops =
-          4.0 * static_cast<double>(chol->envelope_size());
+      exact_flops = 4.0 * static_cast<double>(chol->envelope_size());
       const double nd = static_cast<double>(topo->n);
       const double ne = static_cast<double>(topo->num_edges());
       const double d = static_cast<double>(mc.latent);
       const double h = static_cast<double>(mc.hidden);
-      const double per_inference =
+      const double in = static_cast<double>(mc.node_input_dim());
+      per_inference =
           static_cast<double>(mc.iterations) *
-          (4.0 * nd * d * h + ne * h + 2.0 * nd * h * d + 6.0 * nd * d * d);
-      const double gnn_flops = (needed + 1) * per_inference;
-      use_fallback =
-          gnn_flops > options_.fallback_cost_margin * exact_flops;
+          (2.0 * nd * d * 4.0 * h + ne * 2.0 * h +
+           2.0 * nd * ((d + in + 2.0 * h + 1.0) * h + h * d));
+    }
+    auto too_costly = [&](int passes) {
+      return options_.cost_aware_fallback &&
+             (passes + 1) * per_inference >
+                 options_.fallback_cost_margin * exact_flops;
+    };
+    // One inference already over budget: every probe outcome ends in the
+    // fallback (non-contractive, or contractive at ≥ 1 inference per apply),
+    // so the probes are skipped.
+    bool use_fallback = too_costly(0);
+    int needed = -1;  // pass count reaching the target, max over probes
+    if (!use_fallback) {
+      const auto n = static_cast<std::size_t>(topo->n);
+      gnn::DssWorkspace dss;  // setup-time scratch, dropped after probing
+      gnn::GraphSample sample;
+      sample.topo = topo;
+      sample.rhs.resize(n);
+      std::vector<float> out;
+      std::vector<double> r(n), z(n), res(n);
+      for (int probe = 0; probe < probes; ++probe) {
+        Rng rng((0x5EEDull << 32) ^ (static_cast<std::uint64_t>(i) << 8) ^
+                static_cast<std::uint64_t>(probe));
+        for (std::size_t l = 0; l < n; ++l) r[l] = rng.uniform(-1.0, 1.0);
+        const double r0 = la::norm2(r);
+        std::fill(z.begin(), z.end(), 0.0);
+        res = r;
+        int reached = -1;
+        for (int pass = 0; pass <= max_steps; ++pass) {
+          const double norm = la::norm2(res);
+          if (norm <= options_.zero_threshold) {
+            reached = pass == 0 ? 0 : pass - 1;
+            break;
+          }
+          const double inv = options_.normalize_input ? 1.0 / norm : 1.0;
+          for (std::size_t l = 0; l < n; ++l) sample.rhs[l] = res[l] * inv;
+          timed_forward(*model_, sample, edge_caches_[i].get(), dss, out);
+          const double scale = options_.normalize_input ? norm : 1.0;
+          for (std::size_t l = 0; l < n; ++l) {
+            z[l] += scale * static_cast<double>(out[l]);
+          }
+          topo->a_local.multiply(z, res);
+          for (std::size_t l = 0; l < n; ++l) res[l] = r[l] - res[l];
+          const double rho = la::norm2(res) / (r0 > 0.0 ? r0 : 1.0);
+          if (std::isfinite(rho) && rho <= target) {
+            reached = pass;
+            break;
+          }
+        }
+        if (reached < 0) {
+          needed = -1;  // one bad probe disqualifies the subdomain
+          break;
+        }
+        needed = std::max(needed, reached);
+      }
+      // Non-contractive: correctness fallback; else the cost model decides.
+      use_fallback = needed < 0 || too_costly(needed);
     }
     if (use_fallback) {
       if (!chol) chol = std::make_unique<la::SkylineCholesky>(topo->a_local);
       if (options_.fp32_fallback) chol->enable_fp32();
       fallback_[i] = std::move(chol);
+      // Fallback subdomains never run DSS: neither solve_all nor the shard
+      // plans read their edge cache.
+      edge_caches_[i].reset();
       fallbacks.fetch_add(1, std::memory_order_relaxed);
     } else {
       refine_steps_[i] = std::max(refine_steps_[i], needed);
@@ -289,11 +305,11 @@ std::size_t GnnSubdomainSolver::workspace_bytes() const {
   // Coarse steady-state estimate of one caller's warmed-up lanes on the fast
   // path: every lane ends up sized to the largest shard (≈ the merged node
   // budget) it has processed. The forward buffers are all per-node — latent
-  // ping-pong, update input/output and aggregated messages (5 × latent +
-  // update input), projections, activation sums and MLP hidden scratch
-  // (4 × hidden), the decode — because setup always hands the forward an
-  // edge cache, so no per-edge tensor is allocated. The lane's rhs and
-  // correction vectors add two doubles per node.
+  // ping-pong (2 × latent), stacked projections (4 × hidden), message sums
+  // and degree (2 × hidden + 1), Ψ/decoder hidden scratch (hidden), the
+  // decode — because setup always hands the forward an edge cache, so no
+  // per-edge tensor is allocated. The lane's rhs and correction vectors add
+  // two doubles per node.
   long max_nodes = 0;
   for (const auto& t : topologies_) max_nodes = std::max<long>(max_nodes, t->n);
   if (max_nodes == 0) return 0;
@@ -301,8 +317,7 @@ std::size_t GnnSubdomainSolver::workspace_bytes() const {
   const auto& cfg = model_->config();
   const std::size_t per_lane =
       static_cast<std::size_t>(shard_nodes) *
-      ((5 * cfg.latent + 4 * cfg.hidden + cfg.update_input_dim() + 1) *
-           sizeof(float) +
+      ((2 * cfg.latent + 7 * cfg.hidden + 2) * sizeof(float) +
        2 * sizeof(double));
   return per_lane * static_cast<std::size_t>(std::max(1, num_threads()));
 }

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "gnn/dss_kernels.hpp"
 
@@ -86,20 +85,21 @@ void DssModel::run_forward(const GraphSample& g, DssWorkspace& ws,
 
 DssEdgeCache DssModel::precompute_edges(const GraphTopology& topo) const {
   DssEdgeCache cache;
-  cache.fwd.resize(cfg_.iterations);
-  cache.bwd.resize(cfg_.iterations);
-  const float* p = store_.data();
-  const int ldw = cfg_.message_input_dim();
-  const int attr_col = 2 * cfg_.latent;
+  cache.attr.resize(cfg_.iterations);
   for (int k = 0; k < cfg_.iterations; ++k) {
-    const nn::Linear& l1f = blocks_[k].phi_fwd.l1();
-    const nn::Linear& l1b = blocks_[k].phi_bwd.l1();
-    project_attr(topo, l1f.weights(p), ldw, attr_col, l1f.bias(p),
-                 /*sign=*/1.0f, cfg_.hidden, cache.fwd[k]);
-    project_attr(topo, l1b.weights(p), ldw, attr_col, l1b.bias(p),
-                 /*sign=*/-1.0f, cfg_.hidden, cache.bwd[k]);
+    project_block_attr(topo, k, cache.attr[k]);
   }
   return cache;
+}
+
+void DssModel::project_block_attr(const GraphTopology& topo, int k,
+                                  nn::Tensor& attr) const {
+  const float* p = store_.data();
+  const nn::Linear& l1f = blocks_[k].phi_fwd.l1();
+  const nn::Linear& l1b = blocks_[k].phi_bwd.l1();
+  project_attr(topo, l1f.weights(p), l1f.bias(p), l1b.weights(p),
+               l1b.bias(p), cfg_.message_input_dim(), /*col0=*/2 * cfg_.latent,
+               cfg_.hidden, attr);
 }
 
 void DssModel::run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
@@ -110,19 +110,15 @@ void DssModel::run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
                "DssModel: fast inference requires a finalized topology "
                "(finalize_topology builds the receiver-CSR index)");
   DDMGNN_CHECK(cache == nullptr ||
-                   (cache->fwd.size() ==
+                   (cache->attr.size() ==
                         static_cast<std::size_t>(cfg_.iterations) &&
-                    cache->bwd.size() == cache->fwd.size() &&
-                    cache->fwd[0].rows == topo.num_edges() &&
-                    cache->bwd[0].rows == topo.num_edges()),
+                    cache->attr[0].rows == topo.num_edges() &&
+                    cache->attr[0].cols == 2 * cfg_.hidden),
                "DssModel: edge cache does not match the model depth and the "
                "sample's topology (caches are per (topology, model) pair)");
   const Index n = topo.n;
   const int d = cfg_.latent;
   const int hid = cfg_.hidden;
-  const int in_dim = cfg_.node_input_dim();
-  const int ldw = cfg_.message_input_dim();
-  const int attr_col = 2 * d;
   const float* p = store_.data();
   auto& f = ws.fast;
 
@@ -137,71 +133,35 @@ void DssModel::run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
   f.h_cur.resize(n, d);
   f.h_cur.zero();
 
+  // Each block is three passes over nodes (dss_kernels.hpp).
   for (int k = 0; k < cfg_.iterations; ++k) {
     const Block& blk = blocks_[k];
-    for (const bool flip : {false, true}) {
-      const nn::Mlp& mlp = flip ? blk.phi_bwd : blk.phi_fwd;
-      const nn::Linear& l1 = mlp.l1();
-      const float* w1 = l1.weights(p);
-
-      tic();
-      if (k == 0) {
-        // H⁰ = 0 ⇒ both node projections are exactly zero; skip the GEMMs.
-        f.p_recv.resize(n, hid);
-        f.p_recv.zero();
-        f.p_send.resize(n, hid);
-        f.p_send.zero();
-      } else {
-        nn::fused_gemm(w1, ldw, /*col0=*/0, hid, /*b=*/nullptr,
-                       /*relu=*/false, f.h_cur, f.p_recv);
-        nn::fused_gemm(w1, ldw, /*col0=*/d, hid, /*b=*/nullptr,
-                       /*relu=*/false, f.h_cur, f.p_send);
-      }
-      const nn::Tensor* attr_proj;
-      if (cache != nullptr) {
-        attr_proj = flip ? &cache->bwd[k] : &cache->fwd[k];
-      } else {
-        project_attr(topo, w1, ldw, attr_col, l1.bias(p),
-                     flip ? -1.0f : 1.0f, hid, f.attr_scratch);
-        attr_proj = &f.attr_scratch;
-      }
-      toc(&DssPhaseProfile::projection);
-
-      // Gather + ReLU + per-receiver sum + one layer-2 product per node
-      // (dss_kernels.hpp, identity 2); the time lands on the aggregate slot.
-      tic();
-      const nn::Linear& l2 = mlp.l2();
-      aggregate_edge_mlp(topo, f.p_recv, f.p_send, *attr_proj, l2.weights(p),
-                         l2.bias(p), d, f.act_sum,
-                         flip ? f.phi_bwd : f.phi_fwd);
-      toc(&DssPhaseProfile::aggregate);
+    tic();
+    pack_dss_block(p, blk.phi_fwd, blk.phi_bwd, blk.psi, d,
+                   cfg_.node_input_dim(), f.pack);
+    if (k == 0) {
+      // H⁰ = 0 ⇒ every node projection is exactly zero; skip the GEMM.
+      f.proj.resize(n, 4 * hid);
+      f.proj.zero();
+    } else {
+      nn::fused_gemm(f.pack.proj.data(), d, /*col0=*/0, 4 * hid,
+                     /*b=*/nullptr, /*relu=*/false, f.h_cur, f.proj);
     }
+    const nn::Tensor* attr = &f.attr_scratch;
+    if (cache != nullptr) {
+      attr = &cache->attr[k];
+    } else {
+      project_block_attr(topo, k, f.attr_scratch);
+    }
+    toc(&DssPhaseProfile::projection);
 
     tic();
-    // Ψ input: [h, c (, dirichlet flag), φ→, φ←] — same layout as the
-    // reference path.
-    f.x_psi.resize(n, cfg_.update_input_dim());
-    parallel_for(
-        n,
-        [&](long li) {
-          const auto i = static_cast<Index>(li);
-          float* row = f.x_psi.row(i);
-          const float* hi = f.h_cur.row(i);
-          for (int kk = 0; kk < d; ++kk) row[kk] = hi[kk];
-          row[d] = static_cast<float>(g.rhs[i]);
-          if (in_dim == 2) row[d + 1] = topo.dirichlet[i] ? 1.0f : 0.0f;
-          const float* pf = f.phi_fwd.row(i);
-          const float* pb = f.phi_bwd.row(i);
-          for (int kk = 0; kk < d; ++kk) row[d + in_dim + kk] = pf[kk];
-          for (int kk = 0; kk < d; ++kk) row[d + in_dim + d + kk] = pb[kk];
-        },
-        /*grain=*/2048);
-    blk.psi.infer(p, f.x_psi, f.u, f.hidden);
-    f.h_next.resize(n, d);
-    const float alpha = cfg_.alpha;
-    for (std::size_t i = 0; i < f.h_cur.size(); ++i) {
-      f.h_next.d[i] = f.h_cur.d[i] + alpha * f.u.d[i];
-    }
+    aggregate_edge_mlps(topo, f.proj, *attr, f.msg_sum);
+    toc(&DssPhaseProfile::aggregate);
+
+    tic();
+    update_nodes(topo, g.rhs, f.pack, cfg_.alpha, f.h_cur, f.msg_sum,
+                 f.hidden, f.h_next);
     std::swap(f.h_cur, f.h_next);
     toc(&DssPhaseProfile::update);
   }

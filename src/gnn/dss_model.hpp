@@ -77,13 +77,12 @@ struct DssWorkspace {
   /// With an edge cache, no buffer is per-edge.
   struct Fast {
     nn::Tensor h_cur, h_next;         // latent (n × d)
-    nn::Tensor p_recv, p_send;        // node projections (n × hidden)
-    nn::Tensor attr_scratch;          // cache-less attr projections (ne × hidden)
-    nn::Tensor act_sum;               // per-node edge activation sums (n × hidden)
-    nn::Tensor phi_fwd, phi_bwd;      // aggregated messages (n × d)
-    nn::Tensor x_psi, u;              // Ψ input / output
-    nn::Tensor hidden;                // MLP hidden scratch
+    nn::Tensor proj;                  // stacked node projections (n × 4·hidden)
+    nn::Tensor attr_scratch;          // cache-less attr projections (ne × 2·hidden)
+    nn::Tensor msg_sum;               // [S→ | S← | deg] per node (n × (2·hidden+1))
+    nn::Tensor hidden;                // Ψ / decoder hidden scratch (n × hidden)
     nn::Tensor rhat;                  // decode (n × 1)
+    DssBlockPack pack;                // current block's packed weights
   } fast;
 };
 
@@ -136,6 +135,9 @@ class DssModel {
 
   void run_forward(const GraphSample& g, DssWorkspace& ws,
                    bool keep_all_decodes) const;
+  /// Attr projections of block k's edge MLPs on `topo` (DssEdgeCache layout).
+  void project_block_attr(const GraphTopology& topo, int k,
+                          nn::Tensor& attr) const;
   /// Factorized inference engine (see dss_kernels.hpp for the algebra).
   void run_forward_fast(const GraphSample& g, const DssEdgeCache* cache,
                         DssWorkspace& ws, DssPhaseProfile* profile) const;

@@ -2,8 +2,10 @@
 // (gnn/dss_kernels.hpp):
 //   - fused Linear kernel vs the scalar reference across shapes and
 //     thread counts (including the fused-ReLU variant),
-//   - the aggregate-then-project edge-MLP kernel vs a double-precision
-//     per-edge Σ(W₂·a_e + b₂) across hidden widths, including receivers
+//   - one full message-passing block through the three-pass kernels
+//     (stacked projection, two-MLP gather, Ψ with the edge MLPs' second
+//     layer folded in) vs a double-precision per-edge reference, across
+//     latent/hidden widths and the Dirichlet channel, including receivers
 //     without in-edges, bitwise identical at any thread count,
 //   - factorized forward vs reference forward within 1e-4 relative on
 //     random graphs across latent/hidden sizes, cached and cache-less
@@ -12,6 +14,7 @@
 //     unchanged (±1) between the fast and reference paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -137,79 +140,160 @@ TEST(FusedLinear, MatchesReferenceAcrossShapesAndThreadCounts) {
   }
 }
 
-TEST(EdgeMlpAggregation, MatchesPerEdgeDoubleReferenceAcrossHiddenWidths) {
-  ThreadGuard guard;
-  constexpr int kOut = 7;
-  for (const int hid : {3, 10, 40}) {
-    const Index n = 3000;  // above the node-loop fork threshold
-    const auto s = random_sample(n, 400 + hid, 3);
-    const auto& topo = *s.topo;
-    const Index ne = topo.num_edges();
-    Rng rng(17 + hid);
-    auto fill = [&](nn::Tensor& t, Index rows, int cols) {
-      t.resize(rows, cols);
-      for (auto& v : t.d) v = static_cast<float>(rng.uniform(-1, 1));
-    };
-    nn::Tensor p_recv, p_send, attr_proj, w2, b2;
-    fill(p_recv, n, hid);
-    fill(p_send, n, hid);
-    fill(attr_proj, ne, hid);
-    fill(w2, kOut, hid);  // row-major [out × hidden]
-    fill(b2, 1, kOut);
-
-    // Double-precision per-edge messages W₂·a_e + b₂, scattered to their
-    // receivers. `scale` accumulates Σ|terms| per entry — the magnitude the
-    // float kernel's rounding error is relative to.
-    std::vector<double> ref(static_cast<std::size_t>(n) * kOut, 0.0);
-    std::vector<double> scale(ref.size(), 0.0);
-    std::vector<double> a(hid);
-    for (Index e = 0; e < ne; ++e) {
-      for (int k = 0; k < hid; ++k) {
-        const double v = double(p_recv.row(topo.recv[e])[k]) +
-                         double(p_send.row(topo.send[e])[k]) +
-                         double(attr_proj.row(e)[k]);
-        a[k] = v > 0.0 ? v : 0.0;
+/// One message-passing block in double precision, per edge, straight from
+/// the model definition (Eqs. 18–20): both edge MLPs on the materialized
+/// edge inputs, Σ per receiver, Ψ on [h, c, (flag), φ→, φ←], then the ResNet
+/// step. With `magnitude`, every weight, input and activation is replaced by
+/// its absolute value and ReLU by the identity: the result bounds the sum of
+/// |terms| reaching each output, which is what the float kernels' rounding
+/// error is relative to.
+std::vector<double> reference_block(const gnn::GraphTopology& topo,
+                                    const std::vector<double>& rhs,
+                                    const nn::Tensor& h, const float* params,
+                                    const nn::Mlp& phi_fwd,
+                                    const nn::Mlp& phi_bwd,
+                                    const nn::Mlp& psi, bool flag,
+                                    double alpha, bool magnitude) {
+  auto v = [&](double x) { return magnitude ? std::abs(x) : x; };
+  auto mlp = [&](const nn::Mlp& m, const std::vector<double>& x) {
+    const nn::Linear& l1 = m.l1();
+    const nn::Linear& l2 = m.l2();
+    const int in = l1.in_dim();
+    const int hid = l1.out_dim();
+    std::vector<double> a(hid), y(l2.out_dim());
+    for (int o = 0; o < hid; ++o) {
+      double acc = v(l1.bias(params)[o]);
+      for (int k = 0; k < in; ++k) {
+        acc += v(l1.weights(params)[o * in + k]) * x[k];
       }
-      for (int o = 0; o < kOut; ++o) {
-        const std::size_t at = static_cast<std::size_t>(topo.recv[e]) * kOut + o;
-        ref[at] += b2.d[o];
-        scale[at] += std::abs(double(b2.d[o]));
-        for (int k = 0; k < hid; ++k) {
-          const double t = double(w2.row(o)[k]) * a[k];
-          ref[at] += t;
-          scale[at] += std::abs(t);
-        }
-      }
+      a[o] = magnitude ? acc : std::max(acc, 0.0);
     }
+    for (int o = 0; o < l2.out_dim(); ++o) {
+      double acc = v(l2.bias(params)[o]);
+      for (int k = 0; k < hid; ++k) {
+        acc += v(l2.weights(params)[o * hid + k]) * a[k];
+      }
+      y[o] = acc;
+    }
+    return y;
+  };
+  const int d = h.cols;
+  std::vector<std::vector<double>> phi_f(topo.n, std::vector<double>(d, 0.0));
+  std::vector<std::vector<double>> phi_b = phi_f;
+  for (Index e = 0; e < topo.num_edges(); ++e) {
+    std::vector<double> x(2 * d + 3);
+    for (int k = 0; k < d; ++k) {
+      x[k] = v(h.row(topo.recv[e])[k]);
+      x[d + k] = v(h.row(topo.send[e])[k]);
+    }
+    const float* a = &topo.attr[static_cast<std::size_t>(e) * 3];
+    for (const bool flip : {false, true}) {
+      const double sign = flip ? -1.0 : 1.0;
+      x[2 * d] = v(sign * a[0]);
+      x[2 * d + 1] = v(sign * a[1]);
+      x[2 * d + 2] = v(a[2]);
+      const auto m = mlp(flip ? phi_bwd : phi_fwd, x);
+      auto& phi = flip ? phi_b[topo.recv[e]] : phi_f[topo.recv[e]];
+      for (int k = 0; k < d; ++k) phi[k] += m[k];
+    }
+  }
+  std::vector<double> out(static_cast<std::size_t>(topo.n) * d);
+  for (Index j = 0; j < topo.n; ++j) {
+    std::vector<double> x;
+    for (int k = 0; k < d; ++k) x.push_back(v(h.row(j)[k]));
+    x.push_back(v(rhs[j]));
+    if (flag) x.push_back(topo.dirichlet[j] ? 1.0 : 0.0);
+    for (int k = 0; k < d; ++k) x.push_back(phi_f[j][k]);
+    for (int k = 0; k < d; ++k) x.push_back(phi_b[j][k]);
+    const auto u = mlp(psi, x);
+    for (int k = 0; k < d; ++k) {
+      out[static_cast<std::size_t>(j) * d + k] = v(h.row(j)[k]) + alpha * u[k];
+    }
+  }
+  return out;
+}
 
-    // Bitwise identical at every thread count; phi1 is checked below.
-    nn::Tensor act_sum, phi1, phi;
+TEST(DssBlockKernels, MatchPerEdgeDoubleReferenceOfOneBlock) {
+  ThreadGuard guard;
+  struct Case {
+    int latent, hidden;
+    bool flag;
+  };
+  // latent ≠ hidden both ways, Dirichlet channel on and off, and hidden
+  // widths up to 80 (no kernel buffer may be capped below the model width).
+  const Case cases[] = {{6, 10, true},  {10, 16, false}, {10, 3, true},
+                        {10, 3, false}, {10, 10, true},  {10, 10, false},
+                        {10, 40, true}, {10, 40, false}, {10, 80, true},
+                        {10, 80, false}};
+  const Index n = 3000;  // above the node-loop fork threshold (2048)
+  const float alpha = 1.0f;
+  for (const Case c : cases) {
+    SCOPED_TRACE("d=" + std::to_string(c.latent) +
+                 " h=" + std::to_string(c.hidden) +
+                 " flag=" + std::to_string(c.flag));
+    const int d = c.latent;
+    const int hid = c.hidden;
+    const int in = c.flag ? 2 : 1;
+    const auto s = random_sample(n, 400 + 7 * hid + d, 3);
+    const auto& topo = *s.topo;
+    nn::ParameterStore ps;
+    const nn::Mlp phi_fwd(ps, 2 * d + 3, hid, d);
+    const nn::Mlp phi_bwd(ps, 2 * d + 3, hid, d);
+    const nn::Mlp psi(ps, 3 * d + in, hid, d);
+    ps.finalize();
+    // Every parameter random, biases included (β of identity 3 must count).
+    Rng rng(17 + hid + d);
+    for (float& w : ps.values()) w = static_cast<float>(rng.uniform(-0.5, 0.5));
+    nn::Tensor h(n, d);
+    for (float& x : h.d) x = static_cast<float>(rng.uniform(-1, 1));
+    const float* p = ps.data();
+
+    // The fast block, at 1, 2 and 4 threads: bitwise identical.
+    gnn::DssBlockPack pack;
+    gnn::pack_dss_block(p, phi_fwd, phi_bwd, psi, d, in, pack);
+    nn::Tensor proj, attr, msg_sum, hidden, h_next, h_next1, msg_sum1;
     for (const int threads : {1, 2, 4}) {
       set_num_threads(threads);
-      gnn::aggregate_edge_mlp(topo, p_recv, p_send, attr_proj, w2.d.data(),
-                              b2.d.data(), kOut, act_sum,
-                              threads == 1 ? phi1 : phi);
-      if (threads == 1) continue;
-      ASSERT_EQ(phi.size(), phi1.size());
-      EXPECT_EQ(std::memcmp(phi.d.data(), phi1.d.data(),
-                            phi1.size() * sizeof(float)),
+      nn::fused_gemm(pack.proj.data(), d, /*col0=*/0, 4 * hid, nullptr,
+                     /*relu=*/false, h, proj);
+      gnn::project_attr(topo, phi_fwd.l1().weights(p), phi_fwd.l1().bias(p),
+                        phi_bwd.l1().weights(p), phi_bwd.l1().bias(p),
+                        2 * d + 3, 2 * d, hid, attr);
+      gnn::aggregate_edge_mlps(topo, proj, attr, msg_sum);
+      gnn::update_nodes(topo, s.rhs, pack, alpha, h, msg_sum, hidden, h_next);
+      if (threads == 1) {
+        h_next1 = h_next;
+        msg_sum1 = msg_sum;
+        continue;
+      }
+      ASSERT_EQ(h_next.size(), h_next1.size());
+      EXPECT_EQ(std::memcmp(h_next.d.data(), h_next1.d.data(),
+                            h_next1.size() * sizeof(float)),
                 0)
-          << "hidden=" << hid << " threads=" << threads;
+          << "threads=" << threads;
+      EXPECT_EQ(std::memcmp(msg_sum.d.data(), msg_sum1.d.data(),
+                            msg_sum1.size() * sizeof(float)),
+                0)
+          << "threads=" << threads;
     }
     set_num_threads(0);
 
-    ASSERT_EQ(phi1.rows, n);
-    ASSERT_EQ(phi1.cols, kOut);
+    const auto ref = reference_block(topo, s.rhs, h, p, phi_fwd, phi_bwd, psi,
+                                     c.flag, alpha, /*magnitude=*/false);
+    const auto mag = reference_block(topo, s.rhs, h, p, phi_fwd, phi_bwd, psi,
+                                     c.flag, alpha, /*magnitude=*/true);
+    ASSERT_EQ(h_next1.rows, n);
+    ASSERT_EQ(h_next1.cols, d);
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_NEAR(phi1.d[i], ref[i], 1e-5 * scale[i])
-          << "hidden=" << hid << " entry=" << i;
+      EXPECT_LE(std::abs(h_next1.d[i] - ref[i]), 1e-6 * mag[i])
+          << "entry " << i;
     }
     // random_sample marks nodes 0 and n/2 Dirichlet: they receive no
-    // messages, so φ is exactly zero there.
+    // messages, so their whole message row (sums and degree) is exactly 0.
     for (const Index j : {Index{0}, static_cast<Index>(n / 2)}) {
       ASSERT_EQ(topo.recv_ptr[j], topo.recv_ptr[j + 1]) << "node " << j;
-      for (int o = 0; o < kOut; ++o) {
-        EXPECT_EQ(phi1.row(j)[o], 0.0f) << "hidden=" << hid << " node " << j;
+      for (int k = 0; k <= 2 * hid; ++k) {
+        EXPECT_EQ(msg_sum1.row(j)[k], 0.0f) << "node " << j << " col " << k;
       }
     }
   }

@@ -5,8 +5,10 @@
 //     the worst case the serving bench used to fail on: the adaptive setup
 //     must detect the non-contractive subdomains and rescue them with the
 //     exact Cholesky fallback.
-//   - at the paper's model shape, the fast DSS forward (aggregate-then-
-//     project edge MLPs) is BITWISE identical at 1/2/4 threads (fixed
+//   - when one inference alone is over the cost budget, the adaptive setup
+//     falls back everywhere without running a probe inference,
+//   - at the paper's model shape, the fast DSS forward (three-pass message-
+//     passing blocks) is BITWISE identical at 1/2/4 threads (fixed
 //     per-node accumulation order) and within 1e-4 of the reference path.
 //   - a mixed-precision (fp32 preconditioner apply) solve still meets the
 //     fp64 tolerance on the true residual, and the default Krylov selection
@@ -20,6 +22,7 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "core/gnn_subdomain_solver.hpp"
 #include "core/session_cache.hpp"
 #include "core/solver_session.hpp"
 #include "fem/poisson.hpp"
@@ -27,7 +30,10 @@
 #include "gnn/graph.hpp"
 #include "la/vector_ops.hpp"
 #include "mesh/generator.hpp"
+#include "obs/flags.hpp"
 #include "obs/forensics.hpp"
+#include "obs/metrics.hpp"
+#include "partition/decomposition.hpp"
 #include "solver/krylov.hpp"
 
 namespace {
@@ -168,6 +174,59 @@ TEST(ServingConvergence, FastForwardBitwiseAcrossThreadsAndNearReference) {
     EXPECT_EQ(std::memcmp(fast.data(), one.data(), one.size() * sizeof(float)),
               0)
         << "fast forward not bitwise at threads=" << threads;
+  }
+}
+
+TEST(ServingConvergence, OverBudgetInferenceSkipsProbesAndReleasesCaches) {
+  // With fallback_cost_margin 0, one inference already costs more than the
+  // margin × the envelope sweeps on every subdomain, so the cost model sends
+  // every subdomain to the Cholesky fallback whatever the probes would find:
+  // setup must not run a single probe inference, and must drop the edge
+  // caches no DSS inference will read.
+  auto [m, prob] = smoke_problem();
+  gnn::DssConfig mc;
+  gnn::DssModel model(mc, /*seed=*/3);
+  const auto dec =
+      partition::decompose_target_size(m.adj_ptr(), m.adj(), 350, 2, 7);
+  core::GnnSubdomainSolver::Options opt;
+  opt.adaptive_refinement = true;
+  opt.fallback_cost_margin = 0.0;
+  core::GnnSubdomainSolver solver(model, m, prob.dirichlet, opt);
+  std::vector<la::CsrMatrix> blocks(dec.num_parts);
+  for (Index i = 0; i < dec.num_parts; ++i) {
+    blocks[i] = prob.A.principal_submatrix(dec.subdomains[i]);
+  }
+
+  auto& reg = obs::Registry::instance();
+  reg.reset();
+  obs::set_metrics_enabled(true);
+  solver.setup(std::move(blocks), dec);
+  obs::set_metrics_enabled(false);
+
+  EXPECT_EQ(solver.fallback_count(), dec.num_parts);
+  for (const char* name :
+       {"dss.projection_cpu_seconds", "dss.aggregate_cpu_seconds",
+        "dss.update_cpu_seconds", "dss.decode_cpu_seconds"}) {
+    const obs::Gauge* g = reg.find_gauge(name);
+    EXPECT_EQ(g != nullptr ? g->value() : 0.0, 0.0) << name;
+  }
+  for (const auto& cache : solver.edge_caches()) EXPECT_EQ(cache, nullptr);
+  reg.reset();
+
+  // The fallback solves are exact: A_i z_i = r_i.
+  std::vector<std::vector<double>> r(dec.num_parts), z(dec.num_parts);
+  Rng rng(5);
+  for (Index i = 0; i < dec.num_parts; ++i) {
+    r[i].resize(dec.subdomains[i].size());
+    for (double& v : r[i]) v = rng.uniform(-1.0, 1.0);
+  }
+  const auto ws = solver.make_workspace();
+  solver.solve_all(r, z, ws.get());
+  for (Index i = 0; i < dec.num_parts; ++i) {
+    std::vector<double> az(r[i].size());
+    solver.topologies()[i]->a_local.multiply(z[i], az);
+    for (std::size_t l = 0; l < az.size(); ++l) az[l] -= r[i][l];
+    EXPECT_LT(la::norm2(az), 1e-10 * la::norm2(r[i])) << "subdomain " << i;
   }
 }
 
